@@ -51,15 +51,14 @@ void BM_DecomposeWRange(benchmark::State& state) {
 BENCHMARK(BM_DecomposeWRange)->Arg(16)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
-// Initialization cost at figure scale (n = 2048): the sketched
-// (use_randomized_init, the default) vs. exact-SVD automatic-rank path. One
-// outer/inner iteration isolates init + a single ALM sweep; the exact
-// variant runs a full Gram eigendecomposition of the 512×512 spectrum.
-void RunInitBench(benchmark::State& state, bool randomized) {
+// Cold-init cost at figure scale (n = 2048): automatic rank, so the init
+// is PartialGramSvdWithRank on the 512×512 Gram spectrum (Sturm-count rank
+// search plus the top ⌈1.2·rank⌉ triplets). One outer/inner iteration
+// isolates init + a single ALM sweep.
+void BM_DecompositionInit2048(benchmark::State& state) {
   const Index m = 512, n = 2048, s = 64;
   const auto workload = lrm::workload::GenerateWRelated(m, n, s, 5);
   lrm::core::DecompositionOptions options = BenchOptions();
-  options.use_randomized_init = randomized;
   options.max_outer_iterations = 1;
   options.max_inner_iterations = 1;
   options.l_max_iterations = 5;
@@ -68,31 +67,14 @@ void RunInitBench(benchmark::State& state, bool randomized) {
         lrm::core::DecomposeWorkload(workload->matrix(), options));
   }
 }
+BENCHMARK(BM_DecompositionInit2048)->Unit(benchmark::kMillisecond);
 
-void BM_DecompositionInit2048_Randomized(benchmark::State& state) {
-  RunInitBench(state, true);
-}
-BENCHMARK(BM_DecompositionInit2048_Randomized)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DecompositionInit2048_ExactSvd(benchmark::State& state) {
-  RunInitBench(state, false);
-}
-BENCHMARK(BM_DecompositionInit2048_ExactSvd)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);  // minutes-scale eigendecomposition; once is plenty
-
-// Exact-fallback init at a paper-scale domain (n = 4096): randomized init
-// off, automatic rank — the path that now rides PartialGramSvdWithRank
-// (Sturm-count rank search + top-k inverse iteration on the 1024² Gram
-// matrix) instead of a full eigendecomposition. Before the partial tier
-// this shape was the minutes-scale wall the 2048 exact bench already
-// documents; now it is a first-class bench.
+// The same init at a paper-scale domain (n = 4096): PartialGramSvdWithRank
+// on the 1024² Gram matrix.
 void BM_DecompositionInit4096_Partial(benchmark::State& state) {
   const Index m = 1024, n = 4096, s = 128;
   const auto workload = lrm::workload::GenerateWRelated(m, n, s, 5);
   lrm::core::DecompositionOptions options = BenchOptions();
-  options.use_randomized_init = false;
   options.max_outer_iterations = 1;
   options.max_inner_iterations = 1;
   options.l_max_iterations = 5;

@@ -305,9 +305,7 @@ void BM_JacobiSvd(benchmark::State& state) {
 }
 BENCHMARK(BM_JacobiSvd)->Arg(32)->Arg(64)->Arg(128);
 
-// From n = 512 the Gram eigensolve rides the dc dispatch — these are the
-// exact-SVD-fallback shapes the decomposition init hits on near-full-rank
-// workloads.
+// From n = 512 the Gram eigensolve rides the dc dispatch.
 void BM_GramSvd(benchmark::State& state) {
   const Index n = state.range(0);
   const Matrix a = MakeRandom(2 * n, n, 9);
@@ -316,18 +314,6 @@ void BM_GramSvd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GramSvd)->Arg(32)->Arg(64)->Arg(128)->Arg(512)->Arg(1024);
-
-void BM_RandomizedSvd(benchmark::State& state) {
-  const Index n = state.range(0);
-  // Rank-16 matrix, top-16 sketch — the decomposition's init path.
-  lrm::rng::Engine engine(10);
-  const Matrix a = lrm::linalg::RandomGaussianMatrix(engine, n, 16) *
-                   lrm::linalg::RandomGaussianMatrix(engine, 16, 4 * n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lrm::linalg::RandomizedSvd(a, 16));
-  }
-}
-BENCHMARK(BM_RandomizedSvd)->Arg(128)->Arg(256)->Arg(512);
 
 void BM_HouseholderQr(benchmark::State& state) {
   const Index n = state.range(0);

@@ -6,9 +6,6 @@
 // service assigns each request its RNG stream at submission time, and the
 // kernels tier (linalg/kernels/parallel.h) partitions work by problem shape
 // so any scheduling of the disjoint pieces produces identical bits.
-//
-// Lived in src/service/ until the factorization tier needed the same
-// primitive; service/thread_pool.h re-exports it unchanged.
 
 #ifndef LRM_BASE_THREAD_POOL_H_
 #define LRM_BASE_THREAD_POOL_H_

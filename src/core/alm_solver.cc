@@ -9,7 +9,6 @@
 #include "linalg/cholesky.h"
 #include "linalg/matrix_view.h"
 #include "obs/stage_timer.h"
-#include "opt/apg.h"
 #include "opt/l1_projection.h"
 
 namespace lrm::core {
@@ -128,7 +127,6 @@ void DecompositionSolver::Reset() {
   retained_l_ = Matrix();
   retained_pi_ = Matrix();
   retained_beta_ = 0.0;
-  retained_lipschitz_ = 1.0;
   has_retained_ = false;
   last_was_warm_ = false;
   ClearSeed();
@@ -218,8 +216,8 @@ StatusOr<AlmState> DecompositionSolver::InitializeState(const Matrix& w) {
   // Warm starts face the dual failure: restarting a *polished* seed at
   // (π = 0, β = β₀·r) makes the first ridge B-update walk off the seed and
   // replays the whole cold trajectory. A session continuation therefore
-  // resumes the retained (π, β, Lipschitz); an explicit seed synthesizes
-  // the stationary multiplier instead.
+  // resumes the retained (π, β); an explicit seed synthesizes the
+  // stationary multiplier instead.
   //
   // A retained β that saturated beta_max is NOT resumable: the schedule
   // check would stop every subsequent solve after one outer iteration,
@@ -228,7 +226,6 @@ StatusOr<AlmState> DecompositionSolver::InitializeState(const Matrix& w) {
   if (continue_dual_state && retained_beta_ < options_.beta_max) {
     state.pi = retained_pi_;
     state.beta = retained_beta_;
-    state.apg_lipschitz = retained_lipschitz_;
   } else if (state.warm_started &&
              SynthesizeMultiplier(state.b, state.l, &state.pi)) {
     state.beta = options_.beta_initial *
@@ -270,32 +267,15 @@ Status DecompositionSolver::RunAlternation(const Matrix& w, AlmState* state) {
     LRM_RETURN_IF_ERROR(
         cancel_token_.Check("DecompositionSolver::RunAlternation"));
     // B update (Eq. 9): B = (βWLᵀ + πLᵀ)(βLLᵀ + I)⁻¹.
-    if (options_.use_closed_form_b) {
-      linalg::GemmInto(beta, w, false, l, true, 0.0, &ws.rhs);  // βW·Lᵀ
-      linalg::GemmInto(1.0, pi, false, l, true, 1.0, &ws.rhs);  // + π·Lᵀ
-      linalg::GramAAtInto(l, &ws.gram);  // L·Lᵀ (r×r)
-      ws.gram *= beta;
-      for (Index d = 0; d < r; ++d) ws.gram(d, d) += 1.0;
-      // B·G = RHS with G SPD ⇒ Bᵀ = G⁻¹·RHSᵀ.
-      linalg::TransposeInto(ws.rhs, &ws.rhs_t);
-      LRM_ASSIGN_OR_RETURN(ws.b_t, linalg::SolveSpd(ws.gram, ws.rhs_t));
-      linalg::TransposeInto(ws.b_t, &b);
-    } else {
-      // Ablation path: one gradient step on B with exact line search.
-      // ∂J/∂B = B − πLᵀ + βB(LLᵀ) − βWLᵀ.
-      ws.grad = b;
-      linalg::GemmInto(-1.0, pi, false, l, true, 1.0, &ws.grad);
-      linalg::GramAAtInto(l, &ws.llt);
-      linalg::GemmInto(beta, b, false, ws.llt, false, 1.0, &ws.grad);
-      linalg::GemmInto(-beta, w, false, l, true, 1.0, &ws.grad);
-      // Exact step for this quadratic: t = ‖∇‖² / <∇, ∇(I + βLLᵀ)>.
-      ws.curv = ws.grad;
-      linalg::GemmInto(beta, ws.grad, false, ws.llt, false, 1.0, &ws.curv);
-      const double denom = InnerProduct(ws.grad, ws.curv);
-      const double t =
-          denom > 0.0 ? InnerProduct(ws.grad, ws.grad) / denom : 0.0;
-      b.Axpy(-t, ws.grad);
-    }
+    linalg::GemmInto(beta, w, false, l, true, 0.0, &ws.rhs);  // βW·Lᵀ
+    linalg::GemmInto(1.0, pi, false, l, true, 1.0, &ws.rhs);  // + π·Lᵀ
+    linalg::GramAAtInto(l, &ws.gram);  // L·Lᵀ (r×r)
+    ws.gram *= beta;
+    for (Index d = 0; d < r; ++d) ws.gram(d, d) += 1.0;
+    // B·G = RHS with G SPD ⇒ Bᵀ = G⁻¹·RHSᵀ.
+    linalg::TransposeInto(ws.rhs, &ws.rhs_t);
+    LRM_ASSIGN_OR_RETURN(ws.b_t, linalg::SolveSpd(ws.gram, ws.rhs_t));
+    linalg::TransposeInto(ws.b_t, &b);
 
     // L update (Formula 10) by Nesterov APG with per-column L1
     // projection. Precompute H = βBᵀB and T = Bᵀ(βW + π).
@@ -308,41 +288,14 @@ Status DecompositionSolver::RunAlternation(const Matrix& w, AlmState* state) {
     auto projection = [](Matrix& candidate) {
       opt::ProjectColumnsOntoL1Ball(candidate, 1.0);
     };
-
-    if (options_.use_fast_l_solver) {
-      opt::QuadraticApgOptions q_options;
-      q_options.max_iterations = options_.l_max_iterations;
-      q_options.tolerance = options_.l_tolerance;
-      LRM_ASSIGN_OR_RETURN(
-          opt::QuadraticApgResult q,
-          opt::QuadraticApg(ws.h, ws.t_matrix, projection, l, q_options,
-                            &ws.apg));
-      l = std::move(q.solution);
-    } else {
-      auto objective = [&ws](const Matrix& candidate) {
-        // G(L) = ½<L, H·L> − <T, L> (β folded into H and T).
-        const Matrix hl = ws.h * candidate;
-        return 0.5 * InnerProduct(candidate, hl) -
-               InnerProduct(ws.t_matrix, candidate);
-      };
-      auto gradient = [&ws](const Matrix& candidate) {
-        Matrix g = ws.h * candidate;
-        g -= ws.t_matrix;
-        return g;
-      };
-      opt::ApgOptions apg_options;
-      apg_options.max_iterations = options_.l_max_iterations;
-      apg_options.tolerance = options_.l_tolerance;
-      apg_options.initial_lipschitz = state->apg_lipschitz;
-      LRM_ASSIGN_OR_RETURN(
-          opt::ApgResult apg,
-          opt::AcceleratedProjectedGradient(objective, gradient, projection,
-                                            l, apg_options));
-      l = std::move(apg.solution);
-      // Reuse the learned curvature, backing off slightly so the
-      // estimate can shrink when β stops growing.
-      state->apg_lipschitz = std::max(1.0, apg.final_lipschitz * 0.5);
-    }
+    opt::QuadraticApgOptions q_options;
+    q_options.max_iterations = options_.l_max_iterations;
+    q_options.tolerance = options_.l_tolerance;
+    LRM_ASSIGN_OR_RETURN(
+        opt::QuadraticApgResult q,
+        opt::QuadraticApg(ws.h, ws.t_matrix, projection, l, q_options,
+                          &ws.apg));
+    l = std::move(q.solution);
 
     // Subproblem objective J for the inner stopping rule.
     ResidualInto(w, b, l, &ws.residual);
@@ -450,7 +403,6 @@ StatusOr<Decomposition> DecompositionSolver::Solve(const Matrix& w) {
   // both sit in the same basin; the last dual state continues either.
   retained_pi_ = std::move(state.pi);
   retained_beta_ = state.beta;
-  retained_lipschitz_ = state.apg_lipschitz;
   has_retained_ = true;
   return result;
 }

@@ -71,7 +71,6 @@ struct AlmWorkspace {
   linalg::Matrix target;    // βW + π                   (m×n)
   linalg::Matrix t_matrix;  // Bᵀ·target                (r×n)
   linalg::Matrix residual;  // W − BL                   (m×n)
-  linalg::Matrix llt, grad, curv;  // gradient-ablation B update
   opt::QuadraticApgWorkspace apg;
 };
 
@@ -103,8 +102,6 @@ struct AlmState {
   double previous_tau = std::numeric_limits<double>::infinity();
   int feasible_without_improvement = 0;
   int outer_iterations = 0;
-  /// Warm-started Lipschitz estimate for the generic-APG ablation path.
-  double apg_lipschitz = 1.0;
 
   AlmWorkspace ws;
 };
@@ -135,12 +132,12 @@ class DecompositionSolver {
   /// otherwise), or a cold spectrum initialization.
   ///
   /// Session warm starts resume the full ALM state — factors AND the dual
-  /// state (π, β, the APG curvature estimate) — so re-solving a converged
-  /// problem is an exact continuation that plateaus within polish_patience
-  /// outer iterations instead of replaying the cold trajectory. Explicit
-  /// seeds carry no dual state; the multiplier is synthesized from the
-  /// B-update stationarity condition π·Lᵀ ≈ B (one r×r SPD solve), which
-  /// pins the seed in place the same way.
+  /// state (π, β) — so re-solving a converged problem is an exact
+  /// continuation that plateaus within polish_patience outer iterations
+  /// instead of replaying the cold trajectory. Explicit seeds carry no dual
+  /// state; the multiplier is synthesized from the B-update stationarity
+  /// condition π·Lᵀ ≈ B (one r×r SPD solve), which pins the seed in place
+  /// the same way.
   StatusOr<Decomposition> Solve(const linalg::Matrix& w);
 
   /// Seeds the NEXT Solve() with caller-supplied factors (consumed by that
@@ -225,7 +222,6 @@ class DecompositionSolver {
   linalg::Matrix retained_b_, retained_l_;
   linalg::Matrix retained_pi_;
   double retained_beta_ = 0.0;
-  double retained_lipschitz_ = 1.0;
   bool has_retained_ = false;
 
   // One-shot caller-supplied seed (hard seed; mismatch is an error).

@@ -21,18 +21,10 @@
 #ifndef LRM_CORE_DECOMPOSITION_H_
 #define LRM_CORE_DECOMPOSITION_H_
 
-#include <cstdint>
-
 #include "base/status_or.h"
 #include "linalg/matrix.h"
-#include "opt/apg.h"
 
 namespace lrm::core {
-
-/// \brief Smallest min(m, n) at which DecompositionOptions::
-/// use_randomized_init switches the automatic-rank path to a sketched SVD.
-/// Below this the exact SVD is already cheap and strictly more accurate.
-inline constexpr linalg::Index kRandomizedInitMinDim = 192;
 
 /// \brief Tunables of the ALM decomposition (defaults follow the paper).
 struct DecompositionOptions {
@@ -49,7 +41,7 @@ struct DecompositionOptions {
   /// L₀L₀ᵀ ≈ I/r), so the penalty must start at the scale of r or the first
   /// iterations walk away from the feasible initializer into a degenerate
   /// alternating-least-squares basin that no later β can escape (see
-  /// decomposition.cc for the orthogonality argument).
+  /// alm_solver.cc InitializeState for the orthogonality argument).
   double beta_initial = 1.0;
   /// Multiplicative growth of β (Algorithm 1 doubles).
   double beta_growth = 2.0;
@@ -72,10 +64,6 @@ struct DecompositionOptions {
   int l_max_iterations = 40;
   /// Movement tolerance of the L-subproblem solver.
   double l_tolerance = 1e-9;
-  /// Use the specialized exact-Lipschitz quadratic solver for the
-  /// L-subproblem (one H·L product per iteration). The generic
-  /// backtracking APG path is kept for the optimizer ablation benchmark.
-  bool use_fast_l_solver = true;
 
   /// Consecutive feasible iterations without a ≥0.1% objective improvement
   /// before the polish phase stops.
@@ -84,22 +72,6 @@ struct DecompositionOptions {
   /// Relative singular-value cutoff when estimating rank(W) for the
   /// automatic r.
   double rank_tolerance = 1e-9;
-
-  /// Initialize (B, L) — and, when rank == 0, estimate rank(W) — from a
-  /// randomized sketch (Halko et al.) instead of a full SVD. Engages only
-  /// when W is large (min(m, n) ≥ kRandomizedInitMinDim, or an explicit
-  /// small rank target); small problems keep the exact path, and the exact
-  /// path also remains the fallback when the sketch cannot resolve the
-  /// spectrum (near-full-rank W). Defaults on: at n = 2048 the exact
-  /// eigendecomposition dominates the whole decomposition's wall clock.
-  bool use_randomized_init = true;
-
-  /// Seed for the randomized SVD used to initialize (B, L) at scale.
-  std::uint64_t seed = 7;
-
-  /// If false, B is updated by a gradient step instead of the closed form —
-  /// kept for the optimizer ablation benchmark.
-  bool use_closed_form_b = true;
 };
 
 /// \brief Result of DecomposeWorkload.

@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "base/logging.h"
-#include "linalg/random_matrix.h"
-#include "rng/engine.h"
 
 namespace lrm::core {
 
@@ -38,103 +36,42 @@ void InitializeFromSvd(const linalg::SvdResult& svd, Index r, Index m,
   // recruit them as extra intermediate queries.
 }
 
-bool TrySketchedInit(const Matrix& w, const DecompositionOptions& options,
-                     linalg::SvdResult* svd, Index* r) {
-  const Index min_dim = std::min(w.rows(), w.cols());
-  const Index cap = min_dim / 2;
-  // The Gram-path caveat in EstimateRank applies to sketches too: tail
-  // values below ~√ε·σ₁ are numerical noise, not spectrum.
-  const double rel_tol = linalg::GramRankTolerance(options.rank_tolerance);
-  // 96 starting columns resolve the common figure workloads (rank ≈ m/5 at
-  // m ≤ 512) in one sketch; an exactly-saturated sketch cannot prove the
-  // tail is empty, so saturation doubles the width and retries. The shared
-  // workspace keeps the retries (and each sketch's power iterations) from
-  // reallocating the range-finder buffers, and the Gaussian test matrix is
-  // append-only across retries: one engine feeds it, widening draws only
-  // the fresh columns, so every column an earlier attempt paid for is
-  // reused bitwise and the draw order is independent of the doubling
-  // schedule (AppendGaussianColumns' prefix-stability contract).
-  linalg::RandomizedSvdWorkspace sketch_ws;
-  rng::Engine engine(options.seed);
-  Matrix omega;
-  for (Index sketch = std::min<Index>(96, cap);; sketch = 2 * sketch) {
-    sketch = std::min(sketch, cap);
-    linalg::RandomizedSvdOptions rsvd;
-    rsvd.seed = options.seed;
-    const Index width = std::min<Index>(
-        min_dim, sketch + std::max<Index>(rsvd.oversample, 0));
-    linalg::AppendGaussianColumns(engine, w.cols(), width - omega.cols(),
-                                  &omega);
-    auto attempt =
-        linalg::RandomizedSvdWithTestMatrix(w, sketch, omega, rsvd,
-                                            &sketch_ws);
-    if (!attempt.ok()) return false;
-    const Index rank = linalg::NumericalRank(attempt.value(), rel_tol);
-    if (rank < sketch) {
-      *svd = std::move(attempt).value();
-      *r = static_cast<Index>(
-          std::ceil(1.2 * static_cast<double>(std::max<Index>(rank, 1))));
-      LRM_LOG_DEBUG << "DecompositionSolver: sketched rank(W)=" << rank
-                    << " (sketch " << sketch << "), using r=" << *r;
-      return true;
-    }
-    if (sketch >= cap) return false;
-  }
-}
-
 StatusOr<InitFactors> ColdInit(const Matrix& w,
                                const DecompositionOptions& options) {
   const Index m = w.rows();
   const Index n = w.cols();
 
   // --- Choose r and initialize from the spectrum of W. ---
+  // Small problems take the full Jacobi SVD with the raw (un-floored)
+  // tolerance: no Gram squaring happened, so no √ε floor applies (see svd.h
+  // NumericalRank). At size the init is partial-spectrum: the Lemma-3
+  // construction only ever reads the top r ≪ p triplets, so a Sturm-count
+  // rank search plus inverse iteration on the reduced Gram matrix
+  // (linalg/tridiag_partial.h) replaces the full O(p³) eigensolve with
+  // O(p²·r) — this is what makes exact rank search tractable at the
+  // paper's n ≥ 4096 domains.
+  const Index p = std::min(m, n);
   Index r = options.rank;
   linalg::SvdResult svd;
-  bool initialized = false;
-  if (options.use_randomized_init) {
-    if (r > 0 && r < std::min(m, n) / 2) {
-      // Only the top-r triplets are needed; sketch instead of a full SVD.
-      linalg::RandomizedSvdOptions rsvd;
-      rsvd.seed = options.seed;
-      LRM_ASSIGN_OR_RETURN(svd, linalg::RandomizedSvd(w, r, rsvd));
-      initialized = true;
-    } else if (r == 0 && std::min(m, n) >= kRandomizedInitMinDim) {
-      initialized = TrySketchedInit(w, options, &svd, &r);
-    }
-  }
-  if (!initialized) {
-    // Exact fallback: near-full-rank W (where the sketch cannot prove the
-    // tail empty), a caller-pinned rank with randomized init off, or small
-    // problems. At size the fallback is partial-spectrum: the Lemma-3
-    // construction only ever reads the top r ≪ p triplets, so a Sturm-count
-    // rank search plus inverse iteration on the reduced Gram matrix
-    // (linalg/tridiag_partial.h) replaces the full O(p³) eigensolve with
-    // O(p²·r) — this is what makes exact rank search tractable at the
-    // paper's n ≥ 4096 domains. Small problems keep the full Jacobi SVD
-    // with the raw (un-floored) tolerance: no Gram squaring happened, so
-    // no √ε floor applies (see svd.h NumericalRank).
-    const Index p = std::min(m, n);
-    if (r > 0 && p > linalg::kSvdJacobiDispatchLimit) {
-      LRM_ASSIGN_OR_RETURN(svd, linalg::PartialGramSvd(w, r));
-    } else if (r == 0 && p > linalg::kSvdJacobiDispatchLimit) {
-      Index rank_w = 0;
-      LRM_ASSIGN_OR_RETURN(
-          svd, linalg::PartialGramSvdWithRank(w, options.rank_tolerance, 1.2,
-                                              &rank_w));
+  if (r > 0 && p > linalg::kSvdJacobiDispatchLimit) {
+    LRM_ASSIGN_OR_RETURN(svd, linalg::PartialGramSvd(w, r));
+  } else if (r == 0 && p > linalg::kSvdJacobiDispatchLimit) {
+    Index rank_w = 0;
+    LRM_ASSIGN_OR_RETURN(
+        svd, linalg::PartialGramSvdWithRank(w, options.rank_tolerance, 1.2,
+                                            &rank_w));
+    r = static_cast<Index>(
+        std::ceil(1.2 * static_cast<double>(std::max<Index>(rank_w, 1))));
+    LRM_LOG_DEBUG << "DecompositionSolver: partial rank(W)=" << rank_w
+                  << ", using r=" << r;
+  } else {
+    LRM_ASSIGN_OR_RETURN(svd, linalg::Svd(w));
+    if (r == 0) {
+      const Index rank_w = linalg::NumericalRank(svd, options.rank_tolerance);
       r = static_cast<Index>(
           std::ceil(1.2 * static_cast<double>(std::max<Index>(rank_w, 1))));
-      LRM_LOG_DEBUG << "DecompositionSolver: partial rank(W)=" << rank_w
+      LRM_LOG_DEBUG << "DecompositionSolver: rank(W)=" << rank_w
                     << ", using r=" << r;
-    } else {
-      LRM_ASSIGN_OR_RETURN(svd, linalg::Svd(w));
-      if (r == 0) {
-        const Index rank_w =
-            linalg::NumericalRank(svd, options.rank_tolerance);
-        r = static_cast<Index>(
-            std::ceil(1.2 * static_cast<double>(std::max<Index>(rank_w, 1))));
-        LRM_LOG_DEBUG << "DecompositionSolver: rank(W)=" << rank_w
-                      << ", using r=" << r;
-      }
     }
   }
 

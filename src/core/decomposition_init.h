@@ -1,32 +1,27 @@
 // Initialization strategies for the ALM decomposition solver: where the
 // first (B, L) iterate comes from.
 //
-// Three sources, in the order the solver prefers them:
+// Two sources, in the order the solver prefers them:
 //
-//  * warm start   — factors retained from a prior solve (or supplied by the
-//                   caller), rescaled onto the constraint boundary. Skips
-//                   the SVD/rank-estimation entirely; the seam γ/ε sweeps
-//                   and workload-delta updates build on.
-//  * sketched SVD — randomized range finder (Halko et al.) that estimates
-//                   rank(W) and produces the top-r triplets in one pass;
-//                   engages at scale (see kRandomizedInitMinDim). The
-//                   rank search doubles the sketch width on saturation,
-//                   reusing (never redrawing) the already-drawn Gaussian
-//                   test columns across attempts.
-//  * exact SVD    — small problems and the fallback when the sketch cannot
-//                   resolve the spectrum tail. Small shapes take the full
-//                   Jacobi SVD; at size the fallback is partial-spectrum
-//                   (linalg::PartialGramSvd / PartialGramSvdWithRank):
-//                   Sturm-count rank search plus inverse iteration on the
-//                   reduced Gram matrix produce exactly the top triplets
-//                   the Lemma-3 construction reads, in O(p²·r) after the
-//                   blocked reduction instead of a full O(p³) eigensolve.
+//  * warm start — factors retained from a prior solve (or supplied by the
+//                 caller), rescaled onto the constraint boundary. Skips
+//                 the SVD/rank-estimation entirely; the seam γ/ε sweeps
+//                 and workload-delta updates build on.
+//  * exact SVD  — the cold path, seeded from the spectrum of W as the
+//                 paper's Algorithm 1 is. Small shapes (min(m, n) ≤
+//                 linalg::kSvdJacobiDispatchLimit) take the full Jacobi
+//                 SVD; at size the init is partial-spectrum
+//                 (linalg::PartialGramSvd / PartialGramSvdWithRank):
+//                 Sturm-count rank search plus inverse iteration on the
+//                 reduced Gram matrix produce exactly the top triplets
+//                 the Lemma-3 construction reads, in O(p²·r) after the
+//                 blocked reduction instead of a full O(p³) eigensolve.
 //
 // Rank-tolerance convention (see svd.h NumericalRank): every tolerance is
 // RELATIVE to the top singular value. Spectra that came through a Gram
-// factorization (the sketch confirmation and the at-size exact fallback)
-// clamp the tolerance through linalg::GramRankTolerance; the small-shape
-// Jacobi path uses options.rank_tolerance raw.
+// factorization (the at-size partial path) clamp the tolerance through
+// linalg::GramRankTolerance; the small-shape Jacobi path uses
+// options.rank_tolerance raw.
 
 #ifndef LRM_CORE_DECOMPOSITION_INIT_H_
 #define LRM_CORE_DECOMPOSITION_INIT_H_
@@ -65,23 +60,11 @@ void InitializeFromSvd(const linalg::SvdResult& svd, linalg::Index r,
                        linalg::Index m, linalg::Index n, linalg::Matrix& b,
                        linalg::Matrix& l);
 
-/// \brief Sketched initialization for the automatic-rank path: grows a
-/// randomized SVD until the spectrum tail drops below the rank cutoff, so
-/// both the rank estimate and the (B₀, L₀) triplets come out of one sketch.
-/// Widening is append-only: one Gaussian engine feeds a persistent test
-/// matrix and each retry draws only the new columns, so the columns are
-/// deterministic and independent of the doubling schedule. Returns false
-/// (leaving `svd`/`r` untouched) when the sketch hits min(m, n)/2 without
-/// resolving the tail — a near-full-rank W, where the exact (partial-
-/// spectrum) path is the right tool anyway.
-bool TrySketchedInit(const linalg::Matrix& w,
-                     const DecompositionOptions& options,
-                     linalg::SvdResult* svd, linalg::Index* r);
-
 /// \brief Cold initialization: chooses r (options.rank, or the automatic
-/// ⌈1.2·rank(W)⌉), computes the spectrum (sketched or exact per the
-/// options), builds the Lemma-3 factors and tightens them onto the
-/// constraint boundary (Δ(L₀) = 1, Lemma 2 rescaling).
+/// ⌈1.2·rank(W)⌉), computes the spectrum (Jacobi SVD when small, the
+/// partial Gram eigensolver at size), builds the Lemma-3 factors and
+/// tightens them onto the constraint boundary (Δ(L₀) = 1, Lemma 2
+/// rescaling).
 StatusOr<InitFactors> ColdInit(const linalg::Matrix& w,
                                const DecompositionOptions& options);
 

@@ -13,8 +13,8 @@ namespace {
 namespace kernels = lrm::linalg::kernels;
 
 // Panel width of the blocked factorization. 32 keeps the scalar panel work
-// a small fraction of the GEMM flops for the tall shapes the randomized
-// SVD produces (m up to a few thousand, k a few hundred).
+// a small fraction of the GEMM flops for tall shapes (m up to a few
+// thousand, k a few hundred).
 constexpr Index kQrPanel = 32;
 
 // kAuto dispatch: blocked once the factorization has enough flops
@@ -194,7 +194,7 @@ Status OrthonormalizeColumnsInto(ConstMatrixView a, Matrix* q,
   CopyInto(a, &ws->work);
   if (!UseBlockedQr(a.rows(), a.cols())) {
     // Scalar path through the same workspace: tau doubles as the rdiag
-    // scratch and Q lands straight in *q, so small-sketch callers are as
+    // scratch and Q lands straight in *q, so small-shape callers are as
     // allocation-free as the blocked path.
     ScalarQrFactorInPlace(ws->work, ws->tau);
     ScalarFormThinQInto(ws->work, q);

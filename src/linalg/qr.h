@@ -1,5 +1,4 @@
-// Thin Householder QR, used by the randomized SVD range finder and as an
-// orthonormalization primitive.
+// Thin Householder QR and an orthonormalization primitive built on it.
 //
 // Two implementations behind one API (dispatch mirrors the GEMM kernels,
 // see linalg/kernels/kernels.h):
@@ -31,10 +30,9 @@ struct QrResult {
   Matrix r;
 };
 
-/// \brief Reusable scratch for the blocked QR path. Hot loops (the
-/// randomized-SVD power iteration) hold one of these so repeated
-/// orthonormalizations stop allocating; all buffers grow to the high-water
-/// mark and stay there.
+/// \brief Reusable scratch for the blocked QR path. Hot loops hold one of
+/// these so repeated orthonormalizations stop allocating; all buffers grow
+/// to the high-water mark and stay there.
 struct QrWorkspace {
   Matrix work;                  // m×n factored copy
   std::vector<double> tau;      // reflector scalars

@@ -5,35 +5,12 @@
 namespace lrm::linalg {
 
 Matrix RandomGaussianMatrix(rng::Engine& engine, Index rows, Index cols) {
-  Matrix result;
-  RandomGaussianMatrixInto(engine, rows, cols, &result);
-  return result;
-}
-
-void RandomGaussianMatrixInto(rng::Engine& engine, Index rows, Index cols,
-                              Matrix* out) {
-  out->Resize(rows, cols);
-  double* p = out->data();
-  for (Index i = 0; i < out->size(); ++i) {
+  Matrix result(rows, cols);
+  double* p = result.data();
+  for (Index i = 0; i < result.size(); ++i) {
     p[i] = rng::SampleGaussian(engine);
   }
-}
-
-void AppendGaussianColumns(rng::Engine& engine, Index rows, Index added,
-                           Matrix* out) {
-  const Index old_cols = out->size() == 0 ? 0 : out->cols();
-  Matrix grown(rows, old_cols + added);
-  for (Index i = 0; i < (old_cols > 0 ? rows : 0); ++i) {
-    for (Index j = 0; j < old_cols; ++j) grown(i, j) = (*out)(i, j);
-  }
-  // Column-major draw so each appended column consumes a contiguous run of
-  // the engine's stream regardless of how many columns came before it.
-  for (Index j = old_cols; j < old_cols + added; ++j) {
-    for (Index i = 0; i < rows; ++i) {
-      grown(i, j) = rng::SampleGaussian(engine);
-    }
-  }
-  *out = std::move(grown);
+  return result;
 }
 
 Vector RandomGaussianVector(rng::Engine& engine, Index n) {

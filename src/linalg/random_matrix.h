@@ -12,21 +12,6 @@ namespace lrm::linalg {
 /// \brief rows×cols matrix of i.i.d. standard normal entries.
 Matrix RandomGaussianMatrix(rng::Engine& engine, Index rows, Index cols);
 
-/// \brief Fills `*out` (resized to rows×cols, reusing capacity) with i.i.d.
-/// standard normal entries — the workspace form for sketching loops.
-void RandomGaussianMatrixInto(rng::Engine& engine, Index rows, Index cols,
-                              Matrix* out);
-
-/// \brief Widens `*out` (rows×c, or empty) to rows×(c+added), keeping the
-/// existing columns bitwise intact and drawing the new ones column by
-/// column. Because the draw order is per-column, the result is
-/// prefix-stable: appending 3 then 2 columns to one engine yields exactly
-/// the matrix that appending 5 at once would — which is what lets the
-/// sketch-doubling rank search reuse every previously drawn test column
-/// instead of redrawing the whole Gaussian test matrix per attempt.
-void AppendGaussianColumns(rng::Engine& engine, Index rows, Index added,
-                           Matrix* out);
-
 /// \brief Vector of i.i.d. standard normal entries.
 Vector RandomGaussianVector(rng::Engine& engine, Index n);
 

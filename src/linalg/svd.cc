@@ -6,8 +6,6 @@
 
 #include "base/string_util.h"
 #include "linalg/eigen_sym.h"
-#include "linalg/qr.h"
-#include "linalg/random_matrix.h"
 
 namespace lrm::linalg {
 
@@ -215,80 +213,6 @@ StatusOr<SvdResult> PartialGramSvdWithRank(const Matrix& a, double rel_tol,
       PartialSymmetricEigenAboveCutoff(gram, tol * tol, growth, &count));
   if (rank != nullptr) *rank = count;
   return RecoverSvdFromGramEigen(a, use_aat, eig);
-}
-
-StatusOr<SvdResult> RandomizedSvd(const Matrix& a, Index target_rank,
-                                  const RandomizedSvdOptions& options,
-                                  RandomizedSvdWorkspace* workspace) {
-  if (a.rows() == 0 || a.cols() == 0) {
-    return Status::InvalidArgument("RandomizedSvd: empty matrix");
-  }
-  if (target_rank <= 0) {
-    return Status::InvalidArgument("RandomizedSvd: target_rank must be > 0");
-  }
-  const Index max_rank = std::min(a.rows(), a.cols());
-  const Index sketch =
-      std::min(max_rank, target_rank + std::max<Index>(options.oversample, 0));
-
-  RandomizedSvdWorkspace local;
-  RandomizedSvdWorkspace& ws = workspace != nullptr ? *workspace : local;
-
-  rng::Engine engine(options.seed);
-  RandomGaussianMatrixInto(engine, a.cols(), sketch, &ws.omega);
-  return RandomizedSvdWithTestMatrix(a, target_rank, ws.omega, options,
-                                     &ws);
-}
-
-StatusOr<SvdResult> RandomizedSvdWithTestMatrix(
-    const Matrix& a, Index target_rank, const Matrix& omega,
-    const RandomizedSvdOptions& options, RandomizedSvdWorkspace* workspace) {
-  if (a.rows() == 0 || a.cols() == 0) {
-    return Status::InvalidArgument("RandomizedSvd: empty matrix");
-  }
-  if (target_rank <= 0) {
-    return Status::InvalidArgument("RandomizedSvd: target_rank must be > 0");
-  }
-  if (omega.rows() != a.cols()) {
-    return Status::InvalidArgument(
-        "RandomizedSvd: test matrix must have a.cols() rows");
-  }
-  if (omega.cols() <= 0 || omega.cols() > std::min(a.rows(), a.cols())) {
-    return Status::InvalidArgument(
-        "RandomizedSvd: test matrix width must be in [1, min(m, n)]");
-  }
-
-  RandomizedSvdWorkspace local;
-  RandomizedSvdWorkspace& ws = workspace != nullptr ? *workspace : local;
-
-  // Range finder: Y = A·Ω, then orthonormalize. Every product below writes
-  // into a workspace buffer and every orthonormalization reuses the shared
-  // QR scratch, so passes after the first allocate nothing. (`omega` may
-  // alias ws.omega — it is only read, never resized, in this function.)
-  MultiplyInto(a, omega, &ws.y);
-  LRM_RETURN_IF_ERROR(OrthonormalizeColumnsInto(ws.y, &ws.q, &ws.qr));
-
-  // Power iterations sharpen the spectrum: Q ← orth(A·orth(Aᵀ·Q)).
-  for (int it = 0; it < options.power_iterations; ++it) {
-    MultiplyAtBInto(a, ws.q, &ws.z);
-    LRM_RETURN_IF_ERROR(OrthonormalizeColumnsInto(ws.z, &ws.z, &ws.qr));
-    MultiplyInto(a, ws.z, &ws.y);
-    LRM_RETURN_IF_ERROR(OrthonormalizeColumnsInto(ws.y, &ws.q, &ws.qr));
-  }
-
-  // Project and decompose the small matrix B = Qᵀ·A (sketch×n).
-  MultiplyAtBInto(ws.q, a, &ws.b);
-  LRM_ASSIGN_OR_RETURN(SvdResult small, JacobiSvd(ws.b));
-
-  MultiplyInto(ws.q, small.u, &ws.u_full);  // m×sketch
-  const Index k = std::min(target_rank, small.singular_values.size());
-  SvdResult result;
-  result.u = SliceCols(ws.u_full, 0, k);
-  result.v = SliceCols(small.v, 0, k);
-  result.singular_values = Vector(k);
-  for (Index i = 0; i < k; ++i) {
-    result.singular_values[i] = small.singular_values[i];
-  }
-  return result;
 }
 
 StatusOr<SvdResult> Svd(const Matrix& a) {

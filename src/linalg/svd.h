@@ -1,24 +1,20 @@
-// Singular value decomposition, three ways:
+// Singular value decomposition, two ways:
 //
-//  * JacobiSvd      — one-sided Jacobi (Hestenes). Most accurate; O(mn²) per
-//                     sweep, best for min(m,n) up to a few hundred.
-//  * GramSvd        — eigendecomposition of the smaller Gram matrix. Squares
-//                     the condition number but is much faster for the larger
-//                     shapes in the experiment grids.
-//  * RandomizedSvd  — Halko/Martinsson/Tropp sketch for the top-k factors;
-//                     used to seed the LRM decomposition (B₀ = √r·U·Σ,
-//                     L₀ = Vᵀ/√r per the Lemma 3 construction) and to
-//                     estimate numerical rank at scale.
+//  * JacobiSvd — one-sided Jacobi (Hestenes). Most accurate; O(mn²) per
+//                sweep, best for min(m,n) up to a few hundred.
+//  * GramSvd   — eigendecomposition of the smaller Gram matrix. Squares the
+//                condition number but is much faster for the larger shapes
+//                in the experiment grids. PartialGramSvd and
+//                PartialGramSvdWithRank compute only the top of its
+//                spectrum; they seed the LRM decomposition at size.
 //
-// Svd() dispatches between the first two by size.
+// Svd() dispatches between JacobiSvd and GramSvd by size.
 
 #ifndef LRM_LINALG_SVD_H_
 #define LRM_LINALG_SVD_H_
 
 #include "base/status_or.h"
 #include "linalg/matrix.h"
-#include "linalg/qr.h"
-#include "rng/engine.h"
 
 namespace lrm::linalg {
 
@@ -71,50 +67,6 @@ StatusOr<SvdResult> PartialGramSvd(const Matrix& a, Index k);
 StatusOr<SvdResult> PartialGramSvdWithRank(const Matrix& a, double rel_tol,
                                            double growth, Index* rank);
 
-/// \brief Options for RandomizedSvd.
-struct RandomizedSvdOptions {
-  /// Oversampling columns added to the target rank.
-  Index oversample = 8;
-  /// Power (subspace) iterations; 2 suffices for rapidly decaying spectra.
-  int power_iterations = 2;
-  /// Seed for the Gaussian test matrix.
-  std::uint64_t seed = 42;
-};
-
-/// \brief Reusable buffers for RandomizedSvd. Callers that sketch the same
-/// matrix repeatedly (the decomposition's rank search doubles the sketch
-/// width until the spectrum tail resolves) hold one of these so the range
-/// finder and power iterations stop allocating per pass; every buffer grows
-/// to the high-water mark and is reused via the `*Into` kernels.
-struct RandomizedSvdWorkspace {
-  Matrix omega;     // n×sketch Gaussian test matrix
-  Matrix y;         // m×sketch range-finder / power-iteration product
-  Matrix z;         // n×sketch power-iteration product
-  Matrix q;         // m×sketch orthonormal range basis
-  Matrix b;         // sketch×n projected matrix
-  Matrix u_full;    // m×sketch left factor before truncation
-  QrWorkspace qr;   // blocked-QR scratch shared by every orthonormalization
-};
-
-/// \brief Randomized top-`target_rank` SVD (Halko et al. 2011). Pass a
-/// workspace to make repeated sketches allocation-free at steady state.
-StatusOr<SvdResult> RandomizedSvd(const Matrix& a, Index target_rank,
-                                  const RandomizedSvdOptions& options = {},
-                                  RandomizedSvdWorkspace* workspace = nullptr);
-
-/// \brief RandomizedSvd with a caller-supplied Gaussian test matrix `omega`
-/// (a.cols() × sketch; the sketch width is omega's column count, which must
-/// be ≥ target_rank's effective truncation). This is the column-reuse seam
-/// for sketch-doubling rank search: the caller appends fresh columns to the
-/// same omega across attempts (linalg/random_matrix.h
-/// AppendGaussianColumns) instead of redrawing the whole test matrix, so
-/// widening a sketch reuses every product structure already paid for and
-/// the draw order stays deterministic.
-StatusOr<SvdResult> RandomizedSvdWithTestMatrix(
-    const Matrix& a, Index target_rank, const Matrix& omega,
-    const RandomizedSvdOptions& options = {},
-    RandomizedSvdWorkspace* workspace = nullptr);
-
 /// \brief Shape threshold of the Svd() dispatcher: min(m, n) at or below
 /// this uses JacobiSvd, larger shapes use GramSvd.
 inline constexpr Index kSvdJacobiDispatchLimit = 160;
@@ -127,7 +79,7 @@ StatusOr<SvdResult> Svd(const Matrix& a);
 /// The tolerance is RELATIVE — always a fraction of the largest singular
 /// value, never an absolute threshold; there is no absolute-tolerance
 /// variant in this codebase. Callers holding a spectrum that came through a
-/// Gram factorization (GramSvd, PartialGramSvd, the sketched range finders)
+/// Gram factorization (GramSvd, PartialGramSvd, PartialGramSvdWithRank)
 /// must clamp their tolerance through GramRankTolerance() first: the Gram
 /// step squares the condition number, so values below ~√ε·σ₁ are numerical
 /// noise and a tighter cutoff would count garbage as spectrum.

@@ -55,8 +55,7 @@ StatusOr<ApgResult> AcceleratedProjectedGradient(
   ApgWorkspace ws;  // loop temporaries, allocated once
   for (int t = 0; t < options.max_iterations; ++t) {
     // Momentum extrapolation S = X_t + α (X_t − X_{t−1}).
-    const double alpha =
-        options.use_momentum ? (delta_prev - 1.0) / delta : 0.0;
+    const double alpha = (delta_prev - 1.0) / delta;
     ws.s = x;
     if (alpha != 0.0) {
       ws.diff = x;

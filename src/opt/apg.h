@@ -1,5 +1,7 @@
 // Nesterov's accelerated projected gradient with backtracking line search —
-// the engine behind paper Algorithm 2 (the L-subproblem of the ALM loop).
+// paper Algorithm 2 as written. The ALM loop solves its L-subproblem with
+// the specialized opt::QuadraticApg; this generic solver is the oracle the
+// tests check QuadraticApg against.
 //
 // Solves  min_X f(X)  s.t.  X ∈ C,  given ∇f and the Euclidean projector
 // onto C. The backtracking rule doubles a local Lipschitz estimate ω until
@@ -35,9 +37,6 @@ struct ApgOptions {
   double lipschitz_growth = 2.0;
   /// Cap on backtracking steps per iteration.
   int max_backtracks = 60;
-  /// If true, disables momentum, giving plain projected gradient descent —
-  /// kept for the optimizer ablation benchmark.
-  bool use_momentum = true;
 };
 
 /// \brief Result of an APG run.

@@ -59,6 +59,7 @@
 
 #include "base/cancel.h"
 #include "base/status_or.h"
+#include "base/thread_pool.h"
 #include "linalg/vector.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -67,7 +68,6 @@
 #include "service/budget_manager.h"
 #include "service/fault_injection.h"
 #include "service/prepared_cache.h"
-#include "service/thread_pool.h"
 #include "workload/workload.h"
 
 namespace lrm::service {

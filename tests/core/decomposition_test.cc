@@ -155,73 +155,48 @@ TEST(DecompositionTest, Lemma2RescalingKeepsProductError) {
               1e-6 * d->scale);
 }
 
-TEST(DecompositionTest, GradientBUpdateAblationAlsoConverges) {
-  const Matrix w = LowRankMatrix(7, 12, 16, 3);
-  DecompositionOptions options;
-  options.use_closed_form_b = false;
-  options.gamma = 0.05;
-  options.max_outer_iterations = 400;
-  options.max_inner_iterations = 10;
-  const StatusOr<Decomposition> d = DecomposeWorkload(w, options);
-  ASSERT_TRUE(d.ok());
-  ExpectFeasible(w, *d, options.gamma, 1e-5);
-  EXPECT_LE(d->residual, 0.6);  // slower path, looser bar
-}
-
-TEST(DecompositionTest, DeterministicGivenSeed) {
+TEST(DecompositionTest, DeterministicWithPinnedRank) {
+  // Pinned r on a small shape: the init is the full Jacobi SVD, and the
+  // whole solve is bitwise repeatable.
   const Matrix w = LowRankMatrix(8, 30, 40, 5);
   DecompositionOptions options;
-  options.rank = 6;  // < min/2 → randomized SVD init path
+  options.rank = 6;
   const StatusOr<Decomposition> d1 = DecomposeWorkload(w, options);
   const StatusOr<Decomposition> d2 = DecomposeWorkload(w, options);
   ASSERT_TRUE(d1.ok());
   ASSERT_TRUE(d2.ok());
+  EXPECT_EQ(d1->b.cols(), 6);
   EXPECT_TRUE(ApproxEqual(d1->b, d2->b, 0.0));
   EXPECT_TRUE(ApproxEqual(d1->l, d2->l, 0.0));
 }
 
-// Sketch-doubling rank confirmation: rank 100 saturates the 96-column
-// starting sketch, forcing one doubling (to the 128-column cap). The lock:
-// (a) the search is bitwise deterministic across runs, and (b) its result
-// equals a single batch solve over a test matrix drawn AT FINAL WIDTH from
-// a fresh engine — which can only hold because widening appends columns to
-// the persistent test matrix in a prefix-stable draw order instead of
-// redrawing it (AppendGaussianColumns contract).
-TEST(DecompositionInitTest, SketchDoublingReusesTestColumnsDeterministically) {
+// Automatic rank at size (min(m, n) > linalg::kSvdJacobiDispatchLimit)
+// rides PartialGramSvdWithRank: rank 100 gives r = ⌈1.2·100⌉, the Lemma-3
+// factors reproduce W, and repeated inits are bitwise identical.
+TEST(DecompositionInitTest, PartialInitAutoRankIsDeterministic) {
   const Index m = 256;
   const Matrix w = LowRankMatrix(17, m, m, 100);
+  ASSERT_GT(m, linalg::kSvdJacobiDispatchLimit);
   DecompositionOptions options;
 
-  linalg::SvdResult first, second;
-  Index r1 = 0, r2 = 0;
-  ASSERT_TRUE(TrySketchedInit(w, options, &first, &r1));
-  ASSERT_TRUE(TrySketchedInit(w, options, &second, &r2));
-  EXPECT_EQ(r1, r2);
-  EXPECT_EQ(r1, 120);  // ⌈1.2·100⌉
-  EXPECT_TRUE(ApproxEqual(first.u, second.u, 0.0));
-  EXPECT_TRUE(ApproxEqual(first.v, second.v, 0.0));
-
-  // Replay: widths are min(m, sketch + oversample) for sketch = 96, then
-  // min(m/2, 192) = 128 — so 104 then 136 columns of one engine(seed).
-  rng::Engine engine(options.seed);
-  Matrix omega;
-  linalg::AppendGaussianColumns(engine, m, 136, &omega);
-  linalg::RandomizedSvdOptions rsvd;
-  rsvd.seed = options.seed;
-  const StatusOr<linalg::SvdResult> batch =
-      linalg::RandomizedSvdWithTestMatrix(w, 128, omega, rsvd);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_TRUE(ApproxEqual(first.u, batch->u, 0.0));
-  EXPECT_TRUE(ApproxEqual(first.v, batch->v, 0.0));
+  const StatusOr<InitFactors> first = ColdInit(w, options);
+  const StatusOr<InitFactors> second = ColdInit(w, options);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(first->rank, 120);  // ⌈1.2·100⌉
+  EXPECT_EQ(second->rank, 120);
+  EXPECT_TRUE(ApproxEqual(first->b, second->b, 0.0));
+  EXPECT_TRUE(ApproxEqual(first->l, second->l, 0.0));
+  EXPECT_LE(linalg::FrobeniusNorm(w - first->b * first->l),
+            1e-6 * linalg::FrobeniusNorm(w));
 }
 
-// The at-size exact fallback (randomized init off) rides the partial
-// Gram SVD: automatic rank must land on ⌈1.2·rank(W)⌉ and the Lemma-3
-// factors must reproduce a workload whose rank fits inside them.
-TEST(DecompositionInitTest, PartialExactFallbackMatchesAutoRank) {
+// The at-size partial Gram SVD: automatic rank must land on
+// ⌈1.2·rank(W)⌉ and the Lemma-3 factors must reproduce a workload whose
+// rank fits inside them.
+TEST(DecompositionInitTest, PartialInitMatchesAutoRank) {
   const Matrix w = LowRankMatrix(19, 200, 220, 12);
   DecompositionOptions options;
-  options.use_randomized_init = false;
   const StatusOr<InitFactors> init = ColdInit(w, options);
   ASSERT_TRUE(init.ok());
   EXPECT_EQ(init->rank, 15);  // ⌈1.2·12⌉
@@ -275,41 +250,28 @@ TEST(DecompositionTest, PerQueryVarianceMatchesHandComputation) {
   EXPECT_DOUBLE_EQ(v[1], 8.0);  // 2·4
 }
 
-TEST(DecompositionTest, RandomizedInitMatchesExactInitAtScale) {
-  // Large enough (min dim ≥ kRandomizedInitMinDim) that the sketched
-  // automatic-rank path engages; the decomposition must still meet γ and
-  // land on the same r as the exact spectrum.
+TEST(DecompositionTest, ExactInitConvergesAtScale) {
+  // Large enough (min dim > linalg::kSvdJacobiDispatchLimit) that the
+  // automatic rank comes from the partial Gram path, whose clamped cutoff
+  // recovers the true rank; the decomposition must still meet γ.
   const Matrix w = LowRankMatrix(17, 200, 260, 10);
+  ASSERT_GT(std::min(w.rows(), w.cols()), linalg::kSvdJacobiDispatchLimit);
   DecompositionOptions options;
   options.gamma = 0.05;
-
-  ASSERT_GE(std::min(w.rows(), w.cols()), kRandomizedInitMinDim);
-  options.use_randomized_init = true;
-  const StatusOr<Decomposition> sketched = DecomposeWorkload(w, options);
-  ASSERT_TRUE(sketched.ok());
-  EXPECT_TRUE(sketched->converged);
-  ExpectFeasible(w, *sketched, options.gamma, 1e-5);
-  EXPECT_EQ(sketched->b.cols(), 12);  // ⌈1.2·rank⌉
-
-  options.use_randomized_init = false;
-  const StatusOr<Decomposition> exact = DecomposeWorkload(w, options);
-  ASSERT_TRUE(exact.ok());
-  EXPECT_TRUE(exact->converged);
-  ExpectFeasible(w, *exact, options.gamma, 1e-5);
-  // At this size the exact path runs through GramSvd, whose squared
-  // condition number inflates the 1e-9 rank estimate with noise; the
-  // sketch's clamped cutoff recovers the true rank — never a larger r.
-  EXPECT_LE(sketched->b.cols(), exact->b.cols());
+  const StatusOr<Decomposition> d = DecomposeWorkload(w, options);
+  ASSERT_TRUE(d.ok());
+  EXPECT_TRUE(d->converged);
+  ExpectFeasible(w, *d, options.gamma, 1e-5);
+  EXPECT_EQ(d->b.cols(), 12);  // ⌈1.2·rank⌉
 }
 
-TEST(DecompositionTest, RandomizedInitKeepsExactPathBelowSizeThreshold) {
-  // Below kRandomizedInitMinDim the flag is moot: small problems stay on
-  // the exact SVD, whose rank estimate is authoritative.
+TEST(DecompositionTest, SmallShapeAutoRankUsesJacobiSpectrum) {
+  // Small problems take the full Jacobi SVD, whose rank estimate is
+  // authoritative.
   rng::Engine engine(23);
   const Matrix w = linalg::RandomGaussianMatrix(engine, 32, 32);
   DecompositionOptions options;
   options.gamma = 5.0;
-  options.use_randomized_init = true;
   const StatusOr<Decomposition> d = DecomposeWorkload(w, options);
   ASSERT_TRUE(d.ok());
   ExpectFeasible(w, *d, options.gamma, 1e-5);
@@ -317,24 +279,18 @@ TEST(DecompositionTest, RandomizedInitKeepsExactPathBelowSizeThreshold) {
   EXPECT_EQ(d->b.cols(), 39);
 }
 
-TEST(DecompositionTest, RandomizedInitFallsBackWhenSketchSaturates) {
-  // Large enough to engage the sketched path, but full rank: every sketch
-  // up to min(m, n)/2 stays saturated (no resolvable tail), so the init
-  // must fall back to the exact SVD instead of truncating the spectrum.
+TEST(DecompositionInitTest, FullRankWorkloadAtScaleGetsFullAutoRank) {
+  // Full rank at size: the partial path must count the whole spectrum
+  // instead of truncating it.
   rng::Engine engine(29);
   const Matrix w = linalg::RandomGaussianMatrix(engine, 200, 200);
-  ASSERT_GE(std::min(w.rows(), w.cols()), kRandomizedInitMinDim);
-  DecompositionOptions options;
-  options.gamma = 50.0;  // generous: only the init path is under test
-  options.max_outer_iterations = 3;
-  options.use_randomized_init = true;
-  const StatusOr<Decomposition> d = DecomposeWorkload(w, options);
-  ASSERT_TRUE(d.ok());
-  // r = ⌈1.2·200⌉ is only reachable through the exact full-spectrum
-  // estimate; a truncated sketch would have produced r ≤ 120.
-  EXPECT_EQ(d->b.cols(), 240);
-  for (Index j = 0; j < d->l.cols(); ++j) {
-    EXPECT_LE(linalg::ColumnAbsSum(d->l, j), 1.0 + 1e-5);
+  ASSERT_GT(std::min(w.rows(), w.cols()), linalg::kSvdJacobiDispatchLimit);
+  const StatusOr<InitFactors> init = ColdInit(w, DecompositionOptions{});
+  ASSERT_TRUE(init.ok());
+  EXPECT_EQ(init->rank, 240);  // ⌈1.2·200⌉
+  EXPECT_EQ(init->l.rows(), 240);
+  for (Index j = 0; j < init->l.cols(); ++j) {
+    EXPECT_LE(linalg::ColumnAbsSum(init->l, j), 1.0 + 1e-12);
   }
 }
 

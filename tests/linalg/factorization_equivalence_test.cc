@@ -585,25 +585,5 @@ TEST(ThreadSweepEquivalenceTest, EigenWorkspaceReuseIsDeterministicThreaded) {
   }
 }
 
-TEST(RandomizedSvdEquivalenceTest, WorkspaceReuseIsDeterministic) {
-  // The workspace-reusing path must produce bit-identical results across
-  // repeated calls (same seed) and match the workspace-free call.
-  rng::Engine engine(31);
-  const Matrix a = RandomGaussianMatrix(engine, 120, 12) *
-                   RandomGaussianMatrix(engine, 12, 300);
-  const StatusOr<SvdResult> plain = RandomizedSvd(a, 12);
-  ASSERT_TRUE(plain.ok());
-
-  RandomizedSvdWorkspace ws;
-  for (int pass = 0; pass < 3; ++pass) {
-    const StatusOr<SvdResult> reused = RandomizedSvd(a, 12, {}, &ws);
-    ASSERT_TRUE(reused.ok());
-    EXPECT_MATRIX_NEAR(reused->u, plain->u, 0.0);
-    EXPECT_MATRIX_NEAR(reused->v, plain->v, 0.0);
-    EXPECT_VECTOR_NEAR(reused->singular_values, plain->singular_values, 0.0);
-  }
-  EXPECT_MATRIX_NEAR(plain->Reconstruct(), a, 1e-9 * MaxAbs(a) * 300);
-}
-
 }  // namespace
 }  // namespace lrm::linalg
