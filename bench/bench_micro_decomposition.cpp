@@ -110,14 +110,14 @@ void BM_QuadraticApgSolve(benchmark::State& state) {
   for (Index i = 0; i < r; ++i) h(i, i) += 1.0;
   const Matrix t = lrm::linalg::RandomGaussianMatrix(engine, r, n);
   const Matrix l0(r, n);
-  auto projection = [](Matrix& x) {
-    lrm::opt::ProjectColumnsOntoL1Ball(x, 1.0);
-  };
   lrm::opt::QuadraticApgOptions options;
   options.max_iterations = 25;
+  lrm::opt::QuadraticApgWorkspace workspace;
+  Matrix l = l0;
   for (auto _ : state) {
+    l = l0;
     benchmark::DoNotOptimize(
-        lrm::opt::QuadraticApg(h, t, projection, l0, options));
+        lrm::opt::QuadraticApg(h, t, 1.0, &l, options, &workspace));
   }
 }
 BENCHMARK(BM_QuadraticApgSolve)->Arg(32)->Arg(77)->Arg(154)

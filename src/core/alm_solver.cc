@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "base/logging.h"
@@ -9,7 +10,6 @@
 #include "linalg/cholesky.h"
 #include "linalg/matrix_view.h"
 #include "obs/stage_timer.h"
-#include "opt/l1_projection.h"
 
 namespace lrm::core {
 
@@ -32,6 +32,38 @@ void ResidualInto(const Matrix& w, const Matrix& b, const Matrix& l,
                   Matrix* residual) {
   *residual = w;
   linalg::GemmInto(-1.0, b, false, l, false, 1.0, residual);
+}
+
+// The constant part <π,W> + (β/2)‖W‖² of the inner objective J, with the
+// sum of its terms' magnitudes.
+struct ObjectiveTerm {
+  double value = 0.0;
+  double magnitude = 0.0;
+};
+
+ObjectiveTerm ObjectiveConstant(const Matrix& w, const Matrix& pi,
+                                double beta) {
+  double cross = 0.0, cross_magnitude = 0.0;
+  const double* pw = w.data();
+  const double* pp = pi.data();
+  const Index n = w.size();
+  for (Index i = 0; i < n; ++i) {
+    const double term = pp[i] * pw[i];
+    cross += term;
+    cross_magnitude += std::abs(term);
+  }
+  const double quadratic = 0.5 * beta * linalg::SquaredFrobeniusNorm(w);
+  return {cross + quadratic, cross_magnitude + quadratic};
+}
+
+// First-order rounding bound of the expanded J. Every entry of
+// T = Bᵀ(βW + π), H = βBᵀB and H·L is an m- or r-term dot product, so each
+// term J sums carries a relative error of at most about (m + r)·ε (Higham,
+// "Accuracy and Stability of Numerical Algorithms", §3.1); `magnitude` is
+// the sum of the terms' absolute values.
+double ExpandedObjectiveRoundingBound(Index m, Index r, double magnitude) {
+  return static_cast<double>(m + r + 2) *
+         std::numeric_limits<double>::epsilon() * magnitude;
 }
 
 // Synthesizes a multiplier for a seed that carries no dual state: the
@@ -256,9 +288,20 @@ Status DecompositionSolver::RunAlternation(const Matrix& w, AlmState* state) {
   const double beta = state->beta;
   Matrix& b = state->b;
   Matrix& l = state->l;
-  Matrix& pi = state->pi;
+  const Matrix& pi = state->pi;
   AlmWorkspace& ws = state->ws;
 
+  // π and β are fixed for the whole call: βW + π feeds both m·n·r GEMMs of
+  // every alternation, and J's constant part <π,W> + (β/2)‖W‖² is paid once.
+  ws.target = pi;
+  ws.target.Axpy(beta, w);  // βW + π
+  const ObjectiveTerm constant = ObjectiveConstant(w, pi, beta);
+
+  opt::QuadraticApgOptions q_options;
+  q_options.max_iterations = options_.l_max_iterations;
+  q_options.tolerance = options_.l_tolerance;
+
+  state->inner_iterations = 0;
   double previous_objective = std::numeric_limits<double>::infinity();
   for (int inner = 0; inner < options_.max_inner_iterations; ++inner) {
     // Cooperative cancellation checkpoint: one atomic load (plus a clock
@@ -266,9 +309,8 @@ Status DecompositionSolver::RunAlternation(const Matrix& w, AlmState* state) {
     // multiple GEMMs — an expired request aborts within one alternation.
     LRM_RETURN_IF_ERROR(
         cancel_token_.Check("DecompositionSolver::RunAlternation"));
-    // B update (Eq. 9): B = (βWLᵀ + πLᵀ)(βLLᵀ + I)⁻¹.
-    linalg::GemmInto(beta, w, false, l, true, 0.0, &ws.rhs);  // βW·Lᵀ
-    linalg::GemmInto(1.0, pi, false, l, true, 1.0, &ws.rhs);  // + π·Lᵀ
+    // B update (Eq. 9): B = (βW + π)Lᵀ(βLLᵀ + I)⁻¹.
+    linalg::GemmInto(1.0, ws.target, false, l, true, 0.0, &ws.rhs);
     linalg::GramAAtInto(l, &ws.gram);  // L·Lᵀ (r×r)
     ws.gram *= beta;
     for (Index d = 0; d < r; ++d) ws.gram(d, d) += 1.0;
@@ -278,30 +320,35 @@ Status DecompositionSolver::RunAlternation(const Matrix& w, AlmState* state) {
     linalg::TransposeInto(ws.b_t, &b);
 
     // L update (Formula 10) by Nesterov APG with per-column L1
-    // projection. Precompute H = βBᵀB and T = Bᵀ(βW + π).
+    // projection, in place on L: H = βBᵀB and T = Bᵀ(βW + π).
     linalg::GramAtAInto(b, &ws.h);
     ws.h *= beta;
-    ws.target = pi;
-    ws.target.Axpy(beta, w);  // βW + π
     linalg::MultiplyAtBInto(b, ws.target, &ws.t_matrix);  // r×n
-
-    auto projection = [](Matrix& candidate) {
-      opt::ProjectColumnsOntoL1Ball(candidate, 1.0);
-    };
-    opt::QuadraticApgOptions q_options;
-    q_options.max_iterations = options_.l_max_iterations;
-    q_options.tolerance = options_.l_tolerance;
     LRM_ASSIGN_OR_RETURN(
-        opt::QuadraticApgResult q,
-        opt::QuadraticApg(ws.h, ws.t_matrix, projection, l, q_options,
-                          &ws.apg));
-    l = std::move(q.solution);
+        const opt::QuadraticApgResult q,
+        opt::QuadraticApg(ws.h, ws.t_matrix, 1.0, &l, q_options, &ws.apg));
+    ++state->inner_iterations;
 
-    // Subproblem objective J for the inner stopping rule.
-    ResidualInto(w, b, l, &ws.residual);
-    const double j_value =
-        0.5 * linalg::SquaredFrobeniusNorm(b) + InnerProduct(pi, ws.residual) +
-        0.5 * beta * linalg::SquaredFrobeniusNorm(ws.residual);
+    // Subproblem objective J for the inner stopping rule, expanded so the
+    // L-step's own f(L) = ½<L,HL> − <T,L> replaces the m×n residual:
+    //   J = ½‖B‖² + <π,W> + (β/2)‖W‖² + f(L).
+    // The expansion cancels terms of size up to (β/2)‖W‖² against each
+    // other; when its rounding bound could reach a tenth of the tolerance
+    // (large β), J is taken from the explicit residual instead.
+    const double half_b = 0.5 * linalg::SquaredFrobeniusNorm(b);
+    double j_value = half_b + constant.value + q.objective;
+    const double threshold =
+        options_.inner_tolerance * std::max(1.0, std::abs(j_value));
+    if (ExpandedObjectiveRoundingBound(
+            w.rows(), r,
+            half_b + constant.magnitude + q.objective_magnitude) >
+        0.1 * threshold) {
+      ResidualInto(w, b, l, &ws.residual);
+      j_value = half_b + InnerProduct(pi, ws.residual) +
+                0.5 * beta * linalg::SquaredFrobeniusNorm(ws.residual);
+      ++state->explicit_objective_evaluations;
+    }
+    state->inner_objective = j_value;
     if (std::abs(previous_objective - j_value) <=
         options_.inner_tolerance * std::max(1.0, std::abs(j_value))) {
       break;

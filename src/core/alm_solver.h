@@ -59,11 +59,11 @@ Status ValidateDecompositionOptions(const DecompositionOptions& options,
 
 /// \brief Scratch for every temporary the ALM loop touches, allocated once
 /// per solver and reused across solves. The loop body writes each buffer
-/// through the `*Into` kernels (linalg/matrix_view.h), so iterations after
-/// the first are allocation-free apart from the L-solver's returned
-/// solution.
+/// through the `*Into` kernels (linalg/matrix_view.h) and the L-solver
+/// works in place on L, so iterations after the first are allocation-free
+/// apart from the SPD solve's result.
 struct AlmWorkspace {
-  linalg::Matrix rhs;       // βWLᵀ + πLᵀ              (m×r)
+  linalg::Matrix rhs;       // (βW + π)Lᵀ               (m×r)
   linalg::Matrix rhs_t;     // rhsᵀ                     (r×m)
   linalg::Matrix gram;      // βLLᵀ + I                 (r×r)
   linalg::Matrix b_t;       // Bᵀ from the SPD solve    (r×m)
@@ -102,6 +102,13 @@ struct AlmState {
   double previous_tau = std::numeric_limits<double>::infinity();
   int feasible_without_improvement = 0;
   int outer_iterations = 0;
+
+  /// Inner stopping rule: B/L alternations the last RunAlternation ran, the
+  /// subproblem objective J it stopped at, and how many J evaluations of the
+  /// solve needed the explicit residual (see RunAlternation).
+  int inner_iterations = 0;
+  double inner_objective = 0.0;
+  int explicit_objective_evaluations = 0;
 
   AlmWorkspace ws;
 };
@@ -193,7 +200,13 @@ class DecompositionSolver {
 
   /// One inner pass: alternates the closed-form B update (Eq. 9) and the
   /// Nesterov-APG L update (Formula 10) until the subproblem objective J
-  /// stalls or max_inner_iterations is hit.
+  /// stalls or max_inner_iterations is hit. βW + π is formed once per call
+  /// and each alternation runs two m·n·r GEMMs, (βW + π)Lᵀ and
+  /// Bᵀ(βW + π). J comes from its expansion
+  /// ½‖B‖² + <π,W> + (β/2)‖W‖² + ½<L,HL> − <T,L>, whose last two terms the
+  /// L-step returns; only when that form's rounding bound exceeds a tenth
+  /// of the stopping tolerance (at large β) is J taken from the explicit
+  /// residual W − BL, counted in AlmState::explicit_objective_evaluations.
   Status RunAlternation(const linalg::Matrix& w, AlmState* state);
 
   enum class OuterAction {

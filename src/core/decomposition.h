@@ -48,7 +48,10 @@ struct DecompositionOptions {
   /// Outer iterations between scheduled β updates (Algorithm 1: every 10).
   int beta_update_every = 10;
   /// Additionally grow β whenever the residual shrank by less than this
-  /// factor between outer iterations (stagnation rescue).
+  /// factor between outer iterations (stagnation rescue). The default
+  /// trades accuracy for speed: on the bench_ablation_optimizer grid
+  /// (64×512) it roughly halves the outer iterations against +∞ (rescue
+  /// off), at a 9% (WRelated) and 22% (WRange) higher noise error.
   double stagnation_ratio = 0.95;
   /// Terminate once β exceeds this ("β sufficiently large", line 8).
   double beta_max = 1e10;

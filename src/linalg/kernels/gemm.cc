@@ -21,6 +21,7 @@
 #include "base/check.h"
 #include "linalg/kernels/kernels.h"
 #include "linalg/kernels/parallel.h"
+#include "linalg/kernels/target_clones.h"
 
 namespace lrm::linalg::kernels {
 
@@ -31,19 +32,6 @@ constexpr Index kNr = 8;    // micro-tile columns
 constexpr Index kMc = 96;   // rows of a packed A block
 constexpr Index kKc = 256;  // shared (k) depth of packed blocks
 constexpr Index kNc = 1024;  // columns of a packed B block
-
-// Compile the hot path for newer vector ISAs with runtime selection; the
-// "default" clone keeps the binary runnable on any x86-64 (and the macro
-// collapses to nothing elsewhere). Disabled under ThreadSanitizer: the
-// glibc IFUNC resolver behind target_clones runs before the TSan runtime
-// has mapped its shadow memory, which segfaults at process start.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__)
-#define LRM_KERNEL_TARGET_CLONES \
-  __attribute__((target_clones("default", "avx2", "avx512f")))
-#else
-#define LRM_KERNEL_TARGET_CLONES
-#endif
 
 inline double OpAt(const double* a, Index lda, Op op, Index i, Index k) {
   return op == Op::kNone ? a[i * lda + k] : a[k * lda + i];

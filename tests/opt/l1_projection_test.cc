@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "linalg/random_matrix.h"
 #include "rng/engine.h"
@@ -165,6 +167,138 @@ TEST(ProjectColumnsTest, MatchesPerVectorProjection) {
     ProjectOntoL1Ball(column, 1.0);
     EXPECT_TRUE(ApproxEqual(projected.Column(j), column, 1e-12));
   }
+}
+
+// Block kernel vs the sort-based oracle, column by column, plus the
+// kernel's own contract: feasibility, idempotence and the pass bound. All
+// three hold to 1e-12·max(1, ‖column‖₁): θ is a difference of sums of the
+// column's magnitudes, so its rounding scales with them.
+void ExpectMatchesSortOracle(const Matrix& original, double radius) {
+  Matrix projected = original;
+  const int passes = ProjectColumnsOntoL1Ball(projected, radius);
+  EXPECT_LE(passes, original.rows() + 1);
+  Matrix again = projected;
+  EXPECT_LE(ProjectColumnsOntoL1Ball(again, radius), original.rows() + 1);
+  for (Index j = 0; j < original.cols(); ++j) {
+    Vector column = original.Column(j);
+    const double tolerance = 1e-12 * std::max(1.0, linalg::Norm1(column));
+    ProjectOntoL1Ball(column, radius);
+    for (Index i = 0; i < original.rows(); ++i) {
+      ASSERT_NEAR(projected(i, j), column[i], tolerance)
+          << "r=" << original.rows() << " n=" << original.cols()
+          << " radius=" << radius << " column " << j << " row " << i;
+      ASSERT_NEAR(again(i, j), projected(i, j), tolerance);
+    }
+    EXPECT_LE(linalg::ColumnAbsSum(projected, j), radius + tolerance);
+  }
+}
+
+// Columns built to sit where the θ search can go wrong, cycling through
+// the kinds by column index (`radius` is the ball they are built for).
+Matrix AdversarialColumns(Index r, Index n, double radius) {
+  Matrix m(r, n);
+  for (Index j = 0; j < n; ++j) {
+    const double sign = j % 2 == 0 ? 1.0 : -1.0;
+    for (Index i = 0; i < r; ++i) {
+      double v = 0.0;
+      switch (j % 7) {
+        case 0:  // all-equal magnitudes, mixed signs, outside the ball
+          v = (i % 2 == 0 ? 1.0 : -1.0) * 2.0 * radius;
+          break;
+        case 1:  // ties at θ: one large entry and the rest equal to θ
+          v = i == 0 ? 3.0 * radius : sign * radius;
+          break;
+        case 2:  // exactly on the boundary (dyadic entries sum to radius)
+          v = radius *
+              std::ldexp(1.0, -static_cast<int>(std::min(i + 1, r - 1)));
+          if (i + 1 < r) v *= sign;
+          break;
+        case 3:  // zero column
+          v = 0.0;
+          break;
+        case 4:  // geometric magnitudes: one entry leaves the set per pass
+          v = sign * radius * std::ldexp(1.0, static_cast<int>(i % 40));
+          break;
+        case 5:  // sparse, outside the ball: zeros must stay zero
+          v = i % 5 == 0 ? sign * radius : 0.0;
+          break;
+        default:  // strictly inside the ball
+          v = sign * radius / (2.0 * static_cast<double>(r));
+          break;
+      }
+      m(i, j) = v;
+    }
+  }
+  return m;
+}
+
+class BlockProjectionOracleTest
+    : public ::testing::TestWithParam<std::tuple<int, int, double>> {};
+
+TEST_P(BlockProjectionOracleTest, RandomColumnsMatchSortOracle) {
+  const auto [rows, cols, radius] = GetParam();
+  rng::Engine engine(static_cast<std::uint64_t>(rows * 7919 + cols * 31));
+  for (const double spread : {0.01, 1.0, 50.0}) {
+    ExpectMatchesSortOracle(
+        linalg::RandomGaussianMatrix(engine, rows, cols) * spread, radius);
+  }
+}
+
+TEST_P(BlockProjectionOracleTest, AdversarialColumnsMatchSortOracle) {
+  const auto [rows, cols, radius] = GetParam();
+  ExpectMatchesSortOracle(AdversarialColumns(rows, cols, radius), radius);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShapesAndRadii, BlockProjectionOracleTest,
+    ::testing::Combine(::testing::Values(1, 20, 300),
+                       ::testing::Values(1, 64, 77, 130),
+                       ::testing::Values(0.5, 1.0, 3.0)));
+
+TEST(BlockProjectionTest, ZeroRadiusZeroesEveryColumn) {
+  rng::Engine engine(5);
+  Matrix m = linalg::RandomGaussianMatrix(engine, 20, 77);
+  EXPECT_EQ(ProjectColumnsOntoL1Ball(m, 0.0), 0);
+  EXPECT_TRUE(ApproxEqual(m, Matrix(20, 77), 0.0));
+}
+
+TEST(BlockProjectionTest, InfiniteRadiusLeavesBitsUntouched) {
+  rng::Engine engine(6);
+  const Matrix original = linalg::RandomGaussianMatrix(engine, 20, 77) * 9.0;
+  Matrix m = original;
+  EXPECT_EQ(
+      ProjectColumnsOntoL1Ball(m, std::numeric_limits<double>::infinity()),
+      0);
+  EXPECT_EQ(std::memcmp(m.data(), original.data(), sizeof(double) * m.size()),
+            0);
+}
+
+TEST(BlockProjectionTest, ColumnsInsideTheBallKeepTheirBits) {
+  // Only the norm pass runs, and nothing is rewritten.
+  rng::Engine engine(7);
+  const Matrix original = linalg::RandomGaussianMatrix(engine, 20, 77) * 1e-3;
+  Matrix m = original;
+  EXPECT_EQ(ProjectColumnsOntoL1Ball(m, 1.0), 1);
+  EXPECT_EQ(std::memcmp(m.data(), original.data(), sizeof(double) * m.size()),
+            0);
+}
+
+TEST(BlockProjectionTest, GeometricColumnNeedsManyPassesButStaysInBound) {
+  // Magnitudes 2^0 … 2^(r−1) against a tiny radius: each Michelot pass
+  // drops only the smallest survivors, so the θ loop runs long; it must
+  // still stop within rows + 1 passes and agree with the oracle.
+  const Index r = 30;
+  Matrix m(r, 3);
+  for (Index i = 0; i < r; ++i) {
+    for (Index j = 0; j < 3; ++j) {
+      m(i, j) = std::ldexp(1.0, static_cast<int>(i));
+    }
+  }
+  Matrix projected = m;
+  const int passes = ProjectColumnsOntoL1Ball(projected, 1e-3);
+  EXPECT_GT(passes, 3);
+  EXPECT_LE(passes, r + 1);
+  ExpectMatchesSortOracle(m, 1e-3);
 }
 
 }  // namespace
